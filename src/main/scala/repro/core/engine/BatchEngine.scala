@@ -1,9 +1,6 @@
 package repro.core.engine
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.Row
 import org.apache.spark.util.LongAccumulator
 
 import scala.collection.mutable
@@ -70,36 +67,46 @@ final case class EngineRun(results: Map[Long, Array[(Long, Float)]], metrics: En
 object BatchEngine {
 
   /** Serializable plan shipped to executors. Probe keys pack (part, cell). */
-  private final case class ExecPlan(queryQids: Array[Long],
-                                    queryTids: Array[Int],
+  private final case class ExecPlan(queryTids: Array[Int],
                                     queryVecs: Array[Array[Float]],
                                     templates: Map[Int, Seq[Pred]],
                                     probes: Map[Long, Array[Int]],
-                                    attrCols: Seq[String],
                                     indexId: String,
                                     metric: Metric,
-                                    heapK: Int,
-                                    vectorBatching: Boolean,
-                                    attrBatching: Boolean,
-                                    postFilter: Boolean,
-                                    eagerBitmap: Boolean)
+                                    opts: EngineOptions)
+
+  /** One task's non-empty per-query heaps, in heap order: query `qis(j)`
+    * owns entries `start(j) until start(j + 1)` of `ids` and `scores`.
+    * `matched` (PostFilter only, else null) flags the entries that satisfy
+    * the query's template.
+    */
+  private final case class TaskHeaps(qis: Array[Int], start: Array[Int], ids: Array[Long],
+                                     scores: Array[Float], matched: Array[Boolean])
 
   private def key(part: Int, cell: Int): Long = (part.toLong << 32) | (cell.toLong & 0xffffffffL)
 
   /** Execute a hybrid-query workload against a partitioned index in one
-    * distributed pass (plus a Catalyst window merge), per Algorithm 3.
+    * distributed pass, per Algorithm 3: each task returns its per-query
+    * heaps and the driver merges them into the global top-k.
+    *
+    * @throws IllegalArgumentException if a query vector's length differs
+    *         from the index dimension or it contains NaN
     */
   def run(index: PartitionedIndex, workload: Workload, opts: EngineOptions): EngineRun = {
-    val t0 = System.currentTimeMillis()
-    val spark = index.data.sparkSession
-    val sc = spark.sparkContext
+    val t0 = System.nanoTime()
+    val dim = index.leaves.head.centroids.head.length
+    for (q <- workload.queries) {
+      require(q.vec.length == dim,
+              s"query ${q.qid}: vector dimension ${q.vec.length}, index dimension $dim")
+      require(!q.vec.exists(_.isNaN), s"query ${q.qid}: vector contains NaN")
+    }
+    val sc = index.data.sparkSession.sparkContext
 
     // ---- Driver planning: route queries to partitions, pick probe cells. ----
     val nq = workload.queries.length
     val qQids = new Array[Long](nq)
     val qTids = new Array[Int](nq)
     val qVecs = new Array[Array[Float]](nq)
-    var routedTuples = 0L
     val probes = mutable.HashMap.empty[Long, mutable.ArrayBuilder.ofInt]
     // Routing is per-template unless centroid routing (m > 0) is active.
     val perQueryRouting = index.routing match {
@@ -148,24 +155,14 @@ object BatchEngine {
     // parallelize it across the driver's cores.
     java.util.stream.IntStream.range(0, nq).parallel().forEach(qi => planQuery(qi))
 
-    var qi = 0
-    while (qi < nq) {
-      routedTuples += routedSizes(qi)
-      val cs = perQueryCells(qi)
-      var ci = 0
-      while (ci < cs.length) {
-        probes.getOrElseUpdate(cs(ci), new mutable.ArrayBuilder.ofInt) += qi
-        ci += 1
-      }
-      qi += 1
-    }
+    for (qi <- 0 until nq; c <- perQueryCells(qi))
+      probes.getOrElseUpdate(c, new mutable.ArrayBuilder.ofInt) += qi
 
     val plan = ExecPlan(
-      qQids, qTids, qVecs,
+      qTids, qVecs,
       workload.templates.map(t => t.id -> t.preds).toMap,
       probes.iterator.map { case (k, b) => k -> b.result() }.toMap,
-      index.attrCols, index.indexId, index.metric, opts.heapK,
-      opts.vectorBatching, opts.attrBatching, opts.postFilter, opts.eagerBitmap)
+      index.indexId, index.metric, opts)
     val planB = sc.broadcast(plan)
 
     val accScanned = sc.longAccumulator("tuplesScanned")
@@ -180,50 +177,34 @@ object BatchEngine {
     val clusterIdx = schema.fieldIndex(IndexBuilder.ClusterCol)
     val attrIdx: Seq[(String, Int)] = index.attrCols.map(a => a -> schema.fieldIndex(a))
 
-    val resultRdd = index.data.rdd.mapPartitions { rows =>
-      scanPartition(rows, planB.value, idIdx, vecIdx, partIdx, clusterIdx, attrIdx,
-                    accScanned, accDist, accFilter)
+    val tasks = index.data.rdd.mapPartitions { rows =>
+      Iterator.single(scanPartition(rows, planB.value, idIdx, vecIdx, partIdx, clusterIdx, attrIdx,
+                                    accScanned, accDist, accFilter))
+    }.collect()
+
+    // ---- Global top-k merge by (score, id). PostFilter merges to the
+    // unfiltered top heapK, then keeps the first k that satisfy the template.
+    val merged = new Array[TopK](nq)
+    val matching = mutable.HashSet.empty[(Int, Long)] // (template, id)
+    for (t <- tasks; j <- t.qis.indices; e <- t.start(j) until t.start(j + 1)) {
+      val qi = t.qis(j)
+      if (merged(qi) == null) merged(qi) = new TopK(opts.heapK)
+      merged(qi).push(t.scores(e), t.ids(e))
+      if (t.matched != null && t.matched(e)) matching += ((qTids(qi), t.ids(e)))
     }
+    val results = (0 until nq).iterator.filter(merged(_) != null).flatMap { qi =>
+      val best = merged(qi).sorted.iterator.map { case (score, id) => (id, score) }
+      val kept = if (opts.postFilter) best.filter(r => matching((qTids(qi), r._1))) else best
+      val top = kept.take(opts.k).toArray
+      if (top.isEmpty) None else Some(qQids(qi) -> top)
+    }.toMap
 
-    val resultSchema = StructType(Seq(
-      StructField("qid", LongType, nullable = false),
-      StructField("tid", IntegerType, nullable = false),
-      StructField("id", LongType, nullable = false),
-      StructField("score", FloatType, nullable = false)))
-    val partial = spark.createDataFrame(resultRdd, resultSchema)
-
-    // ---- Global top-k merge (Catalyst window). ----
-    val w = Window.partitionBy("qid").orderBy(col("score").asc, col("id").asc)
-    val merged: DataFrame =
-      if (!opts.postFilter) {
-        partial.withColumn("rank", row_number().over(w)).filter(col("rank") <= opts.k)
-      } else {
-        // Strategy D: global top-heapK first, attribute filter afterwards.
-        val kept = partial.withColumn("rank0", row_number().over(w))
-          .filter(col("rank0") <= opts.heapK).drop("rank0")
-        val matchDf = workload.templates.map { t =>
-          index.data.filter(Pred.and(t.preds)).select(col("id"), lit(t.id).as("tid"))
-        }.reduce(_ unionByName _)
-        kept.join(matchDf, Seq("tid", "id"), "left_semi")
-          .withColumn("rank", row_number().over(w)).filter(col("rank") <= opts.k)
-      }
-
-    val collected = merged.select("qid", "id", "score").collect()
-    val results: Map[Long, Array[(Long, Float)]] =
-      collected.groupBy(_.getLong(0)).map { case (qid, rs) =>
-        qid -> rs.map(r => (r.getLong(1), r.getFloat(2))).sortBy(t => (t._2, t._1))
-      }
-
-    val wall = System.currentTimeMillis() - t0
+    val wall = (System.nanoTime() - t0) / 1000000
     planB.destroy()
     EngineRun(results,
-      EngineMetrics(accScanned.value, accDist.value, accFilter.value, routedTuples, wall))
+      EngineMetrics(accScanned.value, accDist.value, accFilter.value, routedSizes.sum, wall))
   }
 
-  /** Per-Spark-partition execution: group local rows into (part, cell)
-    * posting lists, then evaluate each (filter, cell) query group — one
-    * filter pass (bitmap) and one batched score kernel per group.
-    */
   /** One materialized posting-list entry held in the executor-side cache. */
   private[engine] final class Entry(val id: Long, val vec: Array[Float], val attrs: Array[Any])
 
@@ -258,11 +239,15 @@ object BatchEngine {
     }
   }
 
+  /** Per-Spark-partition execution: group local rows into (part, cell)
+    * posting lists, then evaluate each (filter, cell) query group — one
+    * filter pass (bitmap) and one batched score kernel per group.
+    */
   private def scanPartition(rows: Iterator[Row], plan: ExecPlan,
                             idIdx: Int, vecIdx: Int, partIdx: Int, clusterIdx: Int,
                             attrIdx: Seq[(String, Int)],
                             accScanned: LongAccumulator, accDist: LongAccumulator,
-                            accFilter: LongAccumulator): Iterator[Row] = {
+                            accFilter: LongAccumulator): TaskHeaps = {
     // Compile each template's predicates against positions in the per-row
     // attribute array, so filter evaluation is array indexing, not map
     // lookups, on the hot path.
@@ -297,36 +282,39 @@ object BatchEngine {
       }
     }
 
+    def satisfies(preds: Array[(Pred, Int)], attrs: Array[Any]): Boolean = {
+      var ok = true
+      var p = 0
+      while (ok && p < preds.length) {
+        val (pred, pos) = preds(p)
+        ok = pred.evalValue(if (pos >= 0) attrs(pos) else null)
+        p += 1
+      }
+      ok
+    }
+
     def evalFilter(preds: Array[(Pred, Int)], buf: Array[Entry]): Array[Boolean] = {
       accFilter.add(buf.length)
       val out = new Array[Boolean](buf.length)
       var i = 0
-      while (i < buf.length) {
-        val attrs = buf(i).attrs
-        var ok = true
-        var p = 0
-        while (ok && p < preds.length) {
-          val (pred, pos) = preds(p)
-          ok = pred.evalValue(if (pos >= 0) attrs(pos) else null)
-          p += 1
-        }
-        out(i) = ok
-        i += 1
-      }
+      while (i < buf.length) { out(i) = satisfies(preds, buf(i).attrs); i += 1 }
       out
     }
 
     // Strategy B's full-dataset bitmap construction: every template's filter
     // over every local tuple, up front.
     val eagerMasks: Map[(Long, Int), Array[Boolean]] =
-      if (!plan.eagerBitmap) Map.empty
+      if (!plan.opts.eagerBitmap) Map.empty
       else (for {
         (ck, buf) <- cells.iterator
         (tid, preds) <- compiled.iterator
       } yield (ck, tid) -> evalFilter(preds, buf)).toMap
 
-    val heaps = mutable.HashMap.empty[Int, TopK]
-    def heapOf(qi: Int): TopK = heaps.getOrElseUpdate(qi, new TopK(plan.heapK))
+    val heaps = new Array[TopK](plan.queryTids.length)
+    def heapOf(qi: Int): TopK = {
+      if (heaps(qi) == null) heaps(qi) = new TopK(plan.opts.heapK)
+      heaps(qi)
+    }
     val scorer = new repro.core.vec.BatchScorer
 
     for ((ck, buf) <- cells; qidxs <- plan.probes.get(ck)) {
@@ -334,16 +322,16 @@ object BatchEngine {
       for ((tid, qs) <- byTemplate) {
         accScanned.add(buf.length.toLong * qs.length)
         val mask: Array[Boolean] =
-          if (plan.postFilter) null
-          else if (plan.eagerBitmap) eagerMasks((ck, tid))
-          else if (plan.attrBatching) evalFilter(compiled(tid), buf)
+          if (plan.opts.postFilter) null
+          else if (plan.opts.eagerBitmap) eagerMasks((ck, tid))
+          else if (plan.opts.attrBatching) evalFilter(compiled(tid), buf)
           else {
             // No attribute batching: each query pays its own filter pass.
             var m: Array[Boolean] = null
             qs.foreach(_ => m = evalFilter(compiled(tid), buf))
             m
           }
-        if (plan.vectorBatching) {
+        if (plan.opts.vectorBatching) {
           // Algorithm 3: one shared posting-list pass builds the candidate
           // set (posting list ∩ filter bitmap, §4.2 pushdown), then a single
           // batched kernel scores the whole query group against it.
@@ -389,10 +377,21 @@ object BatchEngine {
       }
     }
 
-    heaps.iterator.flatMap { case (qi, h) =>
-      h.sorted.iterator.map { case (score, id) =>
-        Row(plan.queryQids(qi), plan.queryTids(qi), id, score)
-      }
+    // Strategy D keeps unfiltered heaps; each kept entry carries its
+    // template test, which the driver applies after the global top-heapK cut.
+    val byId = if (!plan.opts.postFilter) null
+               else mutable.LongMap.from(cells.valuesIterator.flatten.map(en => en.id -> en))
+    val qis = heaps.indices.filter(qi => heaps(qi) != null && heaps(qi).size > 0).toArray
+    val start = qis.scanLeft(0)((e, qi) => e + heaps(qi).size)
+    val ids = new Array[Long](start.last)
+    val scores = new Array[Float](ids.length)
+    val matched = if (byId == null) null else new Array[Boolean](ids.length)
+    for (j <- qis.indices; i <- 0 until heaps(qis(j)).size) {
+      val h = heaps(qis(j)); val e = start(j) + i
+      ids(e) = h.idAt(i); scores(e) = h.scoreAt(i)
+      if (byId != null) matched(e) = satisfies(compiled(plan.queryTids(qis(j))), byId(ids(e)).attrs)
     }
+    if (matched != null) accFilter.add(ids.length)
+    TaskHeaps(qis, start, ids, scores, matched)
   }
 }

@@ -38,7 +38,7 @@ object IndexBuilder {
   val PartCol = "__part"
   val ClusterCol = "__cluster"
 
-  private def now(): Long = System.currentTimeMillis()
+  private def now(): Long = System.nanoTime() / 1000000
 
   private def collectVectors(db: DataFrame): (Array[Long], Array[Array[Float]]) = {
     val rows = db.select("id", "vec").orderBy("id").collect()

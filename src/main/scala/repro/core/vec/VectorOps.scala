@@ -183,6 +183,10 @@ final class TopK(val k: Int) extends Serializable {
 
   def size: Int = n
 
+  /** The `i`-th retained entry in heap order, `0 <= i < size`. */
+  def idAt(i: Int): Long = ids(i)
+  def scoreAt(i: Int): Float = scores(i)
+
   /** Current worst retained score, or +inf while under capacity. */
   def threshold: Float = if (n < k) Float.MaxValue else scores(0)
 

@@ -165,6 +165,23 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  test("a query vector whose length differs from the index dimension is rejected, naming its qid") {
+    for (d <- Seq(D - 1, D + 1)) {
+      val bad = workload.queries(3).copy(vec = Array.fill(d)(0.5f))
+      val w = workload.copy(queries = workload.queries.updated(3, bad))
+      val e = intercept[IllegalArgumentException](BatchEngine.run(flat(this), w, EngineOptions(defaultNprobe = 4)))
+      assert(e.getMessage.contains(s"query ${bad.qid}"), e.getMessage)
+    }
+  }
+
+  test("a query vector containing NaN is rejected, naming its qid") {
+    val q = workload.queries(5)
+    val bad = q.copy(vec = q.vec.updated(2, Float.NaN))
+    val w = workload.copy(queries = workload.queries.updated(5, bad))
+    val e = intercept[IllegalArgumentException](BatchEngine.run(flat(this), w, EngineOptions(defaultNprobe = 4)))
+    assert(e.getMessage.contains(s"query ${bad.qid}"), e.getMessage)
+  }
+
   test("engine results carry at most k entries per query under every strategy") {
     for (opts <- Seq(EngineOptions(defaultNprobe = 4),
                      EngineOptions(defaultNprobe = 4, postFilter = true),
