@@ -19,7 +19,7 @@ class MicrobenchBench extends SparkSpec {
   private lazy val history = Templates.relatedQSWorkload(db, 0, 800)
   private lazy val hqi = IndexBuilder.buildHQI(db, KGData.AttrCols, Metric.IP, history,
                                                HQIOptions(minSize = 1024))
-  private lazy val flat = IndexBuilder.buildFlat(db, KGData.AttrCols, Metric.IP)
+  private lazy val flat = IndexBuilder.build(db, KGData.AttrCols, Metric.IP, Partitioner.All)
 
   test("Fig 7c analog: attribute-constraint batching amortizes filter work") {
     val opts = EngineOptions(defaultNprobe = 8)

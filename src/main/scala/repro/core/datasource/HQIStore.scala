@@ -5,7 +5,7 @@ import java.nio.file.{Files, Paths}
 
 import org.apache.spark.sql.Row
 
-import repro.core.engine.{IndexBuilder, PartitionedIndex}
+import repro.core.engine.{IndexBuilder, PartitionedIndex, Routing}
 import repro.core.qdtree.Pred
 
 /** On-disk layout of a persisted HQI index (read back by [[HQIDataSource]]):
@@ -71,6 +71,7 @@ object HQIStore {
     }
     val attrIdx = index.attrCols.map(schema.fieldIndex)
 
+    val tree = Some(index.routing).collect { case r: Routing.ByQDTree => r.tree }
     val rows = index.data.collect()
     val byPart = rows.groupBy(_.getInt(partIdx))
     val dim = rows.headOption.map(_.getSeq[Float](vecIdx).size).getOrElse(0)
@@ -98,11 +99,11 @@ object HQIStore {
           }
         }
       } finally out.close()
-      val semantic = index.qdtree.map(t => t.leaves(lm.partId).semantic.toArray)
+      val semantic = tree.map(t => t.leaves(lm.partId).semantic.toArray)
       LeafEntry(lm.partId, partRows.length.toLong, fileName, semantic)
     }
 
-    val preds: Array[Pred] = index.qdtree.map(_.preds).getOrElse(Array.empty)
+    val preds: Array[Pred] = tree.map(_.preds).getOrElse(Array.empty)
     writeMeta(path, HQIStoreMeta(dim, index.metric.name, attrs, preds, leafEntries.toSeq))
   }
 }

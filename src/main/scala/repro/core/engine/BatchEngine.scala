@@ -110,8 +110,8 @@ object BatchEngine {
     val probes = mutable.HashMap.empty[Long, mutable.ArrayBuilder.ofInt]
     // Routing is per-template unless centroid routing (m > 0) is active.
     val perQueryRouting = index.routing match {
-      case Routing.ByQDTree(m) if m > 0 => true
-      case _                            => false
+      case r: Routing.ByQDTree if r.m > 0 => true
+      case _                              => false
     }
     val routeCache = mutable.HashMap.empty[Int, Seq[Int]]
     val allParts = index.leaves.map(_.partId).toSeq

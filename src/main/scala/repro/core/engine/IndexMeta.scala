@@ -1,47 +1,47 @@
 package repro.core.engine
 
 import org.apache.spark.sql.DataFrame
+import repro.core.ivf.IVF
 import repro.core.qdtree.{Pred, QDTree}
 import repro.core.vec.{Metric, VectorOps}
 import repro.workload.Template
 
-/** How queries are routed to index partitions at query time. */
+/** How queries are routed to index partitions at query time; each router
+  * carries the structure it routes by.
+  */
 sealed trait Routing extends Serializable
 object Routing {
   /** Every query visits every partition (PreFilter / PostFilter / flat). */
   case object All extends Routing
-  /** Semantic-description routing over the qd-tree; `m` is the number of
-    * nearest global centroids folded into each query's constraint (§4.1.1;
-    * m = 0 disables centroid routing — the paper's best configuration).
+  /** Semantic-description routing over the qd-tree; each query adds its `m`
+    * nearest `globalCentroids` to its constraint (§4.1.1; m = 0 disables
+    * centroid routing — the paper's best configuration — and then
+    * `globalCentroids` is empty).
     */
-  final case class ByQDTree(m: Int) extends Routing
-  /** Range-partitioned on one numeric attribute (Strategy C). */
-  final case class ByRange(attr: String) extends Routing
+  final case class ByQDTree(tree: QDTree, m: Int, globalCentroids: Array[Array[Float]]) extends Routing
+  /** Range-partitioned on one numeric attribute (Strategy C): partition p
+    * covers `[bounds(p), bounds(p + 1))`.
+    */
+  final case class ByRange(attr: String, bounds: Array[Double]) extends Routing
 }
 
 /** Driver-side metadata for one physical partition (`__part` value).
   *
   * @param centroids IVF cell centroids; `__cluster` on the data is the index
   *                  of the nearest centroid here
-  * @param range     [lo, hi) covered on the range attribute, for Strategy C
   */
-final case class LeafMeta(partId: Int, size: Long,
-                          centroids: Array[Array[Float]],
-                          range: Option[(Double, Double)] = None)
+final case class LeafMeta(partId: Int, size: Long, centroids: Array[Array[Float]])
 
 /** A built, partitioned vector index: the physical layout lives in `data`
   * (columns `id, vec, <attrs…>, __part, __cluster`, repartitioned and cached
   * by `(__part, __cluster)`), everything needed for routing/probing lives in
   * driver metadata.
   */
-final class PartitionedIndex(val name: String,
-                             val data: DataFrame,
+final class PartitionedIndex(val data: DataFrame,
                              val attrCols: Seq[String],
                              val metric: Metric,
                              val leaves: Array[LeafMeta],
                              val routing: Routing,
-                             val qdtree: Option[QDTree],
-                             val globalCentroids: Option[Array[Array[Float]]],
                              val buildMillis: Long) extends Serializable {
 
   /** Stable identity for executor-side posting-list caching. */
@@ -54,16 +54,12 @@ final class PartitionedIndex(val name: String,
   /** Partitions a query with this template and vector must visit. */
   def route(template: Template, qvec: Array[Float]): Seq[Int] = routing match {
     case Routing.All => leaves.map(_.partId).toSeq
-    case Routing.ByQDTree(m) =>
-      val qc =
-        if (m <= 0) Nil
-        else globalCentroids.map(c => VectorOps.nearestN(qvec, c, m, repro.core.ivf.IVF.AssignMetric).toSeq).getOrElse(Nil)
-      qdtree.map(_.routePreds(template.preds, qc)).getOrElse(leaves.map(_.partId).toSeq)
-    case Routing.ByRange(attr) =>
-      val parts = leaves.filter { l =>
-        l.range.forall { case (lo, hi) => rangeMayMatch(template, attr, lo, hi) }
-      }
-      parts.map(_.partId).toSeq
+    case Routing.ByQDTree(tree, m, globalCentroids) =>
+      val qc = if (m <= 0) Nil else VectorOps.nearestN(qvec, globalCentroids, m, IVF.AssignMetric).toSeq
+      tree.routePreds(template.preds, qc)
+    case Routing.ByRange(attr, bounds) =>
+      leaves.iterator.map(_.partId)
+        .filter(p => rangeMayMatch(template, attr, bounds(p), bounds(p + 1))).toSeq
   }
 
   /** Can a [lo, hi) bucket contain tuples satisfying the template's

@@ -20,22 +20,16 @@ object IVF {
   val AssignMetric: Metric = Metric.L2
 
   /** Train √n cells (the paper's default) for one partition's vectors. */
-  def train(vectors: Array[Array[Float]], seed: Long,
-            cellsOverride: Option[Int] = None): Array[Array[Float]] = {
-    val cells = cellsOverride.getOrElse(KMeans.sqrtCells(vectors.length.toLong))
+  def train(vectors: Array[Array[Float]], seed: Long): Array[Array[Float]] =
     // Train on the full vector set (no subsampling): single-index training
     // then scales as O(n·√n) versus O(n·√(n/p)) for a p-way partitioned
     // index — the asymmetry behind the paper's Table 4.
-    KMeans.train(vectors, cells, AssignMetric, seed = seed, sampleCap = Int.MaxValue)
-  }
+    KMeans.train(vectors, KMeans.sqrtCells(vectors.length.toLong), AssignMetric,
+                 seed = seed, sampleCap = Int.MaxValue)
 
-  /** Cell assignment for a single vector (used identically at build time and
-    * when computing probe lists, so layout and probing agree).
+  /** Cell assignment for a single vector (build-time layout). Probing ranks
+    * centroids with the same [[AssignMetric]], so layout and probing agree.
     */
   def assign(vec: Array[Float], centroids: Array[Array[Float]]): Int =
     VectorOps.nearest(vec, centroids, AssignMetric)
-
-  /** The `nprobe` cells a query vector should scan, closest first. */
-  def probeCells(q: Array[Float], centroids: Array[Array[Float]], nprobe: Int): Array[Int] =
-    VectorOps.nearestN(q, centroids, nprobe, AssignMetric)
 }

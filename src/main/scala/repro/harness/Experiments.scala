@@ -197,7 +197,7 @@ object Experiments {
 
     val hqiIdx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, t0,
       HQIOptions(minSize = cfg.minSize, m = cfg.m))
-    val flatIdx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
+    val flatIdx = IndexBuilder.build(kg, KGData.AttrCols, Metric.IP, Partitioner.All)
 
     val gt0 = BatchEngine.run(flatIdx, t0, EngineOptions(k = cfg.k, exhaustive = true)).results
     val sample = t0.sampledPerTemplate(cfg.tunePerTemplate)

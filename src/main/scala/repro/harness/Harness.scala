@@ -80,18 +80,18 @@ object Harness {
     // each timed build from a settled heap.
     // (an id-filter, not limit(): limit is non-deterministic across the
     // multiple passes a build makes over its input)
-    IndexBuilder.buildFlat(db.filter(org.apache.spark.sql.functions.col("id") < 2000),
-                           attrCols, metric, name = "warmup").unpersist()
+    IndexBuilder.build(db.filter(org.apache.spark.sql.functions.col("id") < 2000),
+                       attrCols, metric, Partitioner.All).unpersist()
     System.gc()
     val hqiIdx = IndexBuilder.buildHQI(db, attrCols, metric, history,
       HQIOptions(minSize = cfg.minSize, m = cfg.m))
     log(s"HQI built in ${hqiIdx.buildMillis} ms (${hqiIdx.numPartitions} partitions)")
     System.gc()
-    val flatIdx = IndexBuilder.buildFlat(db, attrCols, metric)
+    val flatIdx = IndexBuilder.build(db, attrCols, metric, Partitioner.All)
     log(s"PreFilter built in ${flatIdx.buildMillis} ms")
     val rangeIdx = rangeAttr.map { a =>
       System.gc()
-      val r = IndexBuilder.buildRange(db, attrCols, metric, a, cfg.rangeParts)
+      val r = IndexBuilder.build(db, attrCols, metric, Partitioner.Range(a, cfg.rangeParts))
       log(s"Range built in ${r.buildMillis} ms")
       r
     }

@@ -108,7 +108,7 @@ class DataSourceSpec extends SparkSpec {
   }
 
   test("a flat index (no qd-tree) stores no semantics and never prunes") {
-    val flat = IndexBuilder.buildFlat(db, KGData.AttrCols, Metric.IP)
+    val flat = IndexBuilder.build(db, KGData.AttrCols, Metric.IP, Partitioner.All)
     val dir = Files.createTempDirectory("hqi-flat").toString
     HQIStore.write(flat, dir)
     val meta = HQIStore.readMeta(dir)

@@ -37,7 +37,7 @@ object EngineFixtures {
   }
 
   def flat(spec: SparkSpec): PartitionedIndex = synchronized {
-    if (_flat == null) _flat = IndexBuilder.buildFlat(db(spec), KGData.AttrCols, Metric.IP)
+    if (_flat == null) _flat = IndexBuilder.build(db(spec), KGData.AttrCols, Metric.IP, Partitioner.All)
     _flat
   }
 

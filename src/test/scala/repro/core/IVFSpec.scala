@@ -18,12 +18,6 @@ class IVFSpec extends AnyFunSuite {
     assert(cents.length == 20)
   }
 
-  test("cellsOverride is honoured") {
-    val rnd = new Random(2)
-    val data = blob(Array(0f), 100, 1f, rnd)
-    assert(IVF.train(data, seed = 1, cellsOverride = Some(7)).length == 7)
-  }
-
   test("assign picks the L2-nearest centroid") {
     val cents = Array(Array(0f, 0f), Array(10f, 0f))
     assert(IVF.assign(Array(1f, 0f), cents) == 0)
@@ -32,8 +26,8 @@ class IVFSpec extends AnyFunSuite {
 
   test("probeCells returns cells nearest-first and respects nprobe") {
     val cents = Array(Array(0f), Array(4f), Array(8f), Array(12f))
-    assert(IVF.probeCells(Array(7f), cents, 2).toSeq == Seq(2, 1))
-    assert(IVF.probeCells(Array(0f), cents, 100).length == 4)
+    assert(VectorOps.nearestN(Array(7f), cents, 2, IVF.AssignMetric).toSeq == Seq(2, 1))
+    assert(VectorOps.nearestN(Array(0f), cents, 100, IVF.AssignMetric).length == 4)
   }
 
   test("probing all cells covers every assigned vector's cell") {
@@ -41,7 +35,7 @@ class IVFSpec extends AnyFunSuite {
     val data = blob(Array(0f, 0f), 200, 3f, rnd)
     val cents = IVF.train(data, seed = 9)
     val assignments = data.map(IVF.assign(_, cents)).toSet
-    val probed = IVF.probeCells(Array(0f, 0f), cents, cents.length).toSet
+    val probed = VectorOps.nearestN(Array(0f, 0f), cents, cents.length, IVF.AssignMetric).toSet
     assert(assignments.subsetOf(probed))
   }
 
@@ -50,7 +44,7 @@ class IVFSpec extends AnyFunSuite {
     val data = blob(Array(1f, 1f), 300, 2f, rnd)
     val cents = IVF.train(data, seed = 5)
     for (v <- data.take(50))
-      assert(IVF.probeCells(v, cents, 1).head == IVF.assign(v, cents))
+      assert(VectorOps.nearestN(v, cents, 1, IVF.AssignMetric).head == IVF.assign(v, cents))
   }
 
   test("assignment metric is always L2 even for IP workloads") {

@@ -16,7 +16,7 @@ class IndexBuilderSpec extends SparkSpec {
   private lazy val bg: DataFrame = { val d = Bigann.dataset(spark, 4096, 8).cache(); d.count(); d }
 
   test("flat index: one partition, sqrt(n) cells, every row assigned") {
-    val idx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
+    val idx = IndexBuilder.build(kg, KGData.AttrCols, Metric.IP, Partitioner.All)
     assert(idx.numPartitions == 1)
     assert(idx.leaves.head.centroids.length == 55) // round(sqrt(3000))
     assert(idx.totalRows == 3000)
@@ -28,7 +28,7 @@ class IndexBuilderSpec extends SparkSpec {
   }
 
   test("flat index: __cluster equals driver-side nearest-centroid assignment") {
-    val idx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
+    val idx = IndexBuilder.build(kg, KGData.AttrCols, Metric.IP, Partitioner.All)
     val cents = idx.leaves.head.centroids
     val rows = idx.data.select("vec", IndexBuilder.ClusterCol).limit(200).collect()
     rows.foreach { r =>
@@ -40,7 +40,7 @@ class IndexBuilderSpec extends SparkSpec {
 
   test("HQI index: leaves cover all rows disjointly and routing metadata is present") {
     val idx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, history, HQIOptions(minSize = 256))
-    assert(idx.qdtree.isDefined)
+    assert(idx.routing.isInstanceOf[Routing.ByQDTree])
     assert(idx.numPartitions > 1)
     assert(idx.leaves.map(_.size).sum == 3000)
     val partCounts = idx.data.groupBy(IndexBuilder.PartCol).count().collect()
@@ -60,10 +60,15 @@ class IndexBuilderSpec extends SparkSpec {
   test("HQI with empty history degenerates to a flat index named HQI (the LP case)") {
     val empty = history.copy(queries = IndexedSeq.empty)
     val idx = IndexBuilder.buildHQI(kg, KGData.AttrCols, Metric.IP, empty)
-    assert(idx.name == "HQI")
     assert(idx.numPartitions == 1)
-    assert(idx.qdtree.isEmpty)
-    idx.unpersist()
+    assert(idx.routing == Routing.All)
+    val flat = IndexBuilder.build(kg, KGData.AttrCols, Metric.IP, Partitioner.All)
+    def centroids(i: PartitionedIndex) = i.leaves.head.centroids.map(_.toSeq).toSeq
+    def cells(i: PartitionedIndex) =
+      i.data.select("id", IndexBuilder.ClusterCol).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    assert(centroids(idx) == centroids(flat))
+    assert(cells(idx) == cells(flat))
+    idx.unpersist(); flat.unpersist()
   }
 
   test("HQI routing reaches every leaf containing a matching tuple") {
@@ -79,7 +84,7 @@ class IndexBuilderSpec extends SparkSpec {
   }
 
   test("range index: equi-depth buckets on the partition attribute") {
-    val idx = IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8)
+    val idx = IndexBuilder.build(bg, Bigann.AttrCols, Metric.L2, Partitioner.Range("a", 8))
     assert(idx.numPartitions == 8)
     assert(idx.leaves.map(_.size).sum == 4096)
     // Equi-depth: no bucket is wildly off 1/8 of the data.
@@ -88,11 +93,11 @@ class IndexBuilderSpec extends SparkSpec {
   }
 
   test("range index: rows land in the bucket covering their attribute value") {
-    val idx = IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8)
-    val ranges = idx.leaves.map(l => l.partId -> l.range.get).toMap
+    val idx = IndexBuilder.build(bg, Bigann.AttrCols, Metric.L2, Partitioner.Range("a", 8))
+    val Routing.ByRange(_, bounds) = idx.routing
     val rows = idx.data.select("a", IndexBuilder.PartCol).limit(500).collect()
     rows.foreach { r =>
-      val (lo, hi) = ranges(r.getInt(1))
+      val (lo, hi) = (bounds(r.getInt(1)), bounds(r.getInt(1) + 1))
       val v = r.getDouble(0)
       assert(v >= lo && v < hi, s"value $v outside [$lo,$hi)")
     }
@@ -100,7 +105,7 @@ class IndexBuilderSpec extends SparkSpec {
   }
 
   test("range routing prunes on the partitioning attribute but not the other") {
-    val idx = IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8)
+    val idx = IndexBuilder.build(bg, Bigann.AttrCols, Metric.L2, Partitioner.Range("a", 8))
     val aSel = Bigann.templates(3)  // a < 2^-3
     val bSel = Bigann.templates(13) // b < 2^-3
     val aParts = idx.route(aSel, Array.fill(8)(0f))
@@ -111,7 +116,7 @@ class IndexBuilderSpec extends SparkSpec {
   }
 
   test("range routing is safe: all matching tuples are in routed partitions") {
-    val idx = IndexBuilder.buildRange(bg, Bigann.AttrCols, Metric.L2, "a", numParts = 8)
+    val idx = IndexBuilder.build(bg, Bigann.AttrCols, Metric.L2, Partitioner.Range("a", 8))
     for (t <- Bigann.templates.take(10)) {
       val routed = idx.route(t, Array.fill(8)(0f)).toSet
       val matching = idx.data.filter(Pred.and(t.preds))
@@ -122,18 +127,31 @@ class IndexBuilderSpec extends SparkSpec {
   }
 
   test("build times are recorded") {
-    val idx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
+    val idx = IndexBuilder.build(kg, KGData.AttrCols, Metric.IP, Partitioner.All)
     assert(idx.buildMillis > 0)
     idx.unpersist()
   }
 
   test("layout columns do not disturb the original attribute columns") {
-    val idx = IndexBuilder.buildFlat(kg, KGData.AttrCols, Metric.IP)
+    val idx = IndexBuilder.build(kg, KGData.AttrCols, Metric.IP, Partitioner.All)
     val got = idx.data.select("id", "etype", "popularity").collect()
       .map(r => (r.getLong(0), r.getString(1), r.getDouble(2))).sortBy(_._1)
     val want = kg.select("id", "etype", "popularity").collect()
       .map(r => (r.getLong(0), r.getString(1), r.getDouble(2))).sortBy(_._1)
     assert(got.sameElements(want))
     idx.unpersist()
+  }
+
+  test("a data vector whose length differs from the first is rejected at build time, naming its id") {
+    val bad = kg.withColumn("vec", when(col("id") === 1234, slice(col("vec"), 1, 7)).otherwise(col("vec")))
+    val e = intercept[IllegalArgumentException](IndexBuilder.build(bad, KGData.AttrCols, Metric.IP, Partitioner.All))
+    assert(e.getMessage.contains("id 1234"), e.getMessage)
+  }
+
+  test("a data vector containing NaN is rejected at build time, naming its id") {
+    val bad = kg.withColumn("vec", when(col("id") === 1234,
+      transform(col("vec"), (x, i) => when(i === 3, lit(Float.NaN)).otherwise(x))).otherwise(col("vec")))
+    val e = intercept[IllegalArgumentException](IndexBuilder.build(bad, KGData.AttrCols, Metric.IP, Partitioner.All))
+    assert(e.getMessage.contains("id 1234"), e.getMessage)
   }
 }

@@ -8,7 +8,7 @@ import repro.SparkSpec
 import repro.core.engine._
 import repro.core.ivf.IVF
 import repro.core.qdtree.Pred._
-import repro.core.vec.Metric
+import repro.core.vec.{KMeans, Metric}
 import repro.workload.{HybridQuery, Template, Workload}
 
 /** Exact semantics of the global top-k merge, checked against brute force
@@ -44,7 +44,7 @@ class MergeSpec extends SparkSpec {
     * task order nor cell order follows id order.
     */
   private def spreadIndex(metric: Metric): PartitionedIndex = {
-    val centroids = IVF.train(table.map(_.vec).toArray, seed = 7, cellsOverride = Some(4))
+    val centroids = KMeans.train(table.map(_.vec).toArray, 4, IVF.AssignMetric, seed = 7, sampleCap = Int.MaxValue)
     val rows = table.map(t =>
       Row(t.id, t.vec.toSeq, t.etype, t.pop, 0, IVF.assign(t.vec, centroids)))
     val schema = StructType(Seq(
@@ -57,8 +57,8 @@ class MergeSpec extends SparkSpec {
     // parallelize slices a sequence into contiguous runs: one copy per slice.
     val data = spark.createDataFrame(spark.sparkContext.parallelize(rows, Copies), schema).cache()
     data.count()
-    new PartitionedIndex("Spread", data, attrCols, metric,
-      Array(LeafMeta(0, table.size.toLong, centroids)), Routing.All, None, None, 0L)
+    new PartitionedIndex(data, attrCols, metric,
+      Array(LeafMeta(0, table.size.toLong, centroids)), Routing.All, 0L)
   }
 
   private def workload(metric: Metric): Workload = {

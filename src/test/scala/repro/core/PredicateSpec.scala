@@ -31,6 +31,11 @@ class PredicateSpec extends SparkSpec {
     b.result()
   }
 
+  /** The row form on an attribute map; a missing key is SQL NULL. */
+  private implicit class RowForm(p: Pred) {
+    def eval(a: Map[String, Any]): Boolean = p.evalValue(a.getOrElse(p.attr, null))
+  }
+
   test("NumCmp evaluates all five operators") {
     val a = attrs(null, 5.0)
     assert(NumCmp("pop", Lt, 6.0).eval(a))
@@ -75,9 +80,9 @@ class PredicateSpec extends SparkSpec {
 
   test("evalAll is conjunction; empty conjunction is true") {
     val a = attrs("person", 0.9)
-    assert(Pred.evalAll(Seq(StrEq("etype", "person"), NumCmp("pop", Ge, 0.5)), a))
-    assert(!Pred.evalAll(Seq(StrEq("etype", "person"), NumCmp("pop", Ge, 0.95)), a))
-    assert(Pred.evalAll(Nil, a))
+    assert(Seq(StrEq("etype", "person"), NumCmp("pop", Ge, 0.5)).forall(_.eval(a)))
+    assert(!Seq(StrEq("etype", "person"), NumCmp("pop", Ge, 0.95)).forall(_.eval(a)))
+    assert(Seq.empty[Pred].forall(_.eval(a)))
   }
 
   test("describe is stable and distinct across predicate kinds") {

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-import repro.core.vec.{Metric, TopK, VectorOps}
+import repro.core.vec.{BatchScorer, Metric, TopK, VectorOps}
 
 class VectorOpsSpec extends AnyFunSuite {
 
@@ -50,10 +50,10 @@ class VectorOpsSpec extends AnyFunSuite {
     for (_ <- 0 until 50) {
       val q = Array.fill(4)(randGridVec(rnd, 6))
       val d = Array.fill(9)(randGridVec(rnd, 6))
-      val batch = VectorOps.batchScores(q, d, Metric.L2)
+      val batch = new BatchScorer().scores(q, d, Metric.L2)
       for (i <- q.indices; j <- d.indices)
-        assert(batch(i)(j) == Metric.L2.score(q(i), d(j)),
-               s"mismatch at ($i,$j): ${batch(i)(j)} vs ${Metric.L2.score(q(i), d(j))}")
+        assert(batch(i * d.length + j) == Metric.L2.score(q(i), d(j)),
+               s"mismatch at ($i,$j): ${batch(i * d.length + j)} vs ${Metric.L2.score(q(i), d(j))}")
     }
   }
 
@@ -62,9 +62,9 @@ class VectorOpsSpec extends AnyFunSuite {
     for (_ <- 0 until 50) {
       val q = Array.fill(3)(randGridVec(rnd, 6))
       val d = Array.fill(7)(randGridVec(rnd, 6))
-      val batch = VectorOps.batchScores(q, d, Metric.IP)
+      val batch = new BatchScorer().scores(q, d, Metric.IP)
       for (i <- q.indices; j <- d.indices)
-        assert(batch(i)(j) == Metric.IP.score(q(i), d(j)))
+        assert(batch(i * d.length + j) == Metric.IP.score(q(i), d(j)))
     }
   }
 
@@ -75,19 +75,18 @@ class VectorOpsSpec extends AnyFunSuite {
     val q = Array.fill(32)(randGridVec(rnd, 8))
     val d = Array.fill(40)(randGridVec(rnd, 8))
     for (m <- Seq[Metric](Metric.L2, Metric.IP)) {
-      val batch = VectorOps.batchScores(q, d, m)
+      val batch = new BatchScorer().scores(q, d, m)
       for (i <- q.indices; j <- d.indices)
-        assert(batch(i)(j) == m.score(q(i), d(j)), s"${m.name} mismatch at ($i,$j)")
+        assert(batch(i * d.length + j) == m.score(q(i), d(j)), s"${m.name} mismatch at ($i,$j)")
     }
   }
 
   test("batchScores with empty data returns empty rows") {
-    val out = VectorOps.batchScores(Array(Array(1f, 2f)), Array.empty, Metric.L2)
-    assert(out.length == 1 && out(0).isEmpty)
+    assert(new BatchScorer().scores(Array(Array(1f, 2f)), Array.empty, Metric.L2).isEmpty)
   }
 
   test("batchScores with no queries returns no rows") {
-    assert(VectorOps.batchScores(Array.empty, Array(Array(1f)), Metric.L2).isEmpty)
+    assert(new BatchScorer().scores(Array.empty, Array(Array(1f)), Metric.L2).isEmpty)
   }
 
   test("nearest returns the argmin centroid") {
